@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lmm_ir::build_sample;
-use lmmir_bench::{Harness, ModelKind};
+use lmmir_bench::{label, Harness, TABLE3_COLUMNS};
 use lmmir_pdn::{CaseKind, CaseSpec};
 use std::hint::black_box;
 
@@ -13,12 +13,12 @@ fn bench_inference(c: &mut Criterion) {
     let sample = build_sample(&spec, h.lmm.input_size).expect("sample builds");
     let mut group = c.benchmark_group("inference_tat");
     group.sample_size(10);
-    for kind in ModelKind::all() {
-        let model = h.build_model(kind);
+    for arch in TABLE3_COLUMNS {
+        let model = h.build_model(arch);
         model.set_training(false);
         let images = sample.images_for(model.input_channels());
         let cloud = model.uses_netlist().then_some(&sample.cloud);
-        group.bench_function(kind.label(), |b| {
+        group.bench_function(label(arch), |b| {
             b.iter(|| {
                 let y = model.forward(black_box(&images), cloud).expect("forward");
                 black_box(y.to_tensor());

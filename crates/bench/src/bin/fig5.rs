@@ -4,8 +4,8 @@
 //! ground truth plus all three predictions as PGM images and CSV rasters to
 //! `bench_out/fig5/`.
 
-use lmm_ir::{f1_score, mae, train};
-use lmmir_bench::{Harness, ModelKind};
+use lmm_ir::{f1_score, mae, train, ArchSpec};
+use lmmir_bench::{label, Harness};
 use lmmir_features::io::{save_csv, save_pgm};
 use std::path::PathBuf;
 
@@ -41,8 +41,8 @@ fn main() {
     lmmir_bench::rule(&header);
     println!("{header}");
     lmmir_bench::rule(&header);
-    for kind in [ModelKind::Iredge, ModelKind::Irpnet, ModelKind::Ours] {
-        let model = h.build_model(kind);
+    for arch in [ArchSpec::Iredge, ArchSpec::IrpNet, ArchSpec::LmmIr] {
+        let model = h.build_model(arch);
         train(model.as_ref(), &train_set, &h.train).expect("training succeeds");
         let images = sample.images_for(model.input_channels());
         let cloud = model.uses_netlist().then_some(&sample.cloud);
@@ -51,12 +51,12 @@ fn main() {
             .expect("forward succeeds")
             .to_tensor();
         let restored = sample.restore_prediction(&pred);
-        let slug = kind.label().to_lowercase().replace(' ', "_");
+        let slug = label(arch).to_lowercase().replace(' ', "_");
         save_pgm(out_dir.join(format!("{slug}.pgm")), &restored).expect("write pgm");
         save_csv(out_dir.join(format!("{slug}.csv")), &restored).expect("write csv");
         println!(
             "{:<10} {:>8.2} {:>10.2} {:>24}",
-            kind.label(),
+            label(arch),
             f1_score(&restored, &sample.truth),
             mae(&restored, &sample.truth) * 1e4,
             format!("{slug}.pgm/.csv"),

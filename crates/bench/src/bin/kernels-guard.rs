@@ -2,10 +2,10 @@
 //! kernels, runnable locally and in CI.
 //!
 //! ```text
-//! kernels-guard [--json PATH] [--reps N] [--only gemm|int8|fusion]
+//! kernels-guard [--json PATH] [--reps N] [--only gemm|int8]
 //! ```
 //!
-//! Four guards, any violation exits nonzero:
+//! Three guards, any violation exits nonzero:
 //!
 //! 1. **Tiled GEMM wins.** The cache-tiled packed kernel must be at least
 //!    as fast as the naive reference at 256³ — and bitwise identical to it
@@ -15,24 +15,17 @@
 //! 3. **int8 stays close.** Worst per-pixel divergence of the quantized
 //!    prediction must stay under the same relative threshold the
 //!    `quantized_e2e` CI test pins.
-//! 4. **Fusion wins.** A conv-block-shaped elementwise chain (scale, bias,
-//!    relu ×2, plus the residual max head `skip + relu(t - skip)`) realized
-//!    through the lazy op-graph runtime must run at least
-//!    [`FUSION_TARGET`]× faster than the `LMMIR_EAGER` per-op path — and
-//!    stay bitwise identical to it.
 //!
 //! `--only` runs a single guard section (the CI matrix splits the sections
 //! across jobs); `--json` writes the measured numbers of the sections that
 //! ran as a machine-readable record (a full run is committed as
 //! `BENCH_kernels.json`). Timings are medians over `--reps` runs (default 9
-//! for GEMM and fusion, 5 for forwards), so one scheduler hiccup cannot
+//! for GEMM, 5 for forwards), so one scheduler hiccup cannot
 //! flake the gate; the speed guards additionally allow 5% noise.
 
 use lmm_ir::{InferenceSession, IrPredictor, LmmIr, LmmIrConfig};
 use lmmir_pdn::{CaseKind, CaseSpec};
-use lmmir_tensor::lazy;
 use lmmir_tensor::linalg::{gemm_reference, gemm_tiled};
-use lmmir_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -46,19 +39,12 @@ const DIVERGENCE_THRESHOLD: f32 = 0.25;
 /// Speed guards tolerate this much measurement noise.
 const NOISE: f64 = 1.05;
 
-/// Required fused-over-eager speedup on the conv-block chain.
-const FUSION_TARGET: f64 = 1.2;
-
 const GEMM_SIDE: usize = 256;
-
-/// Conv-block-shaped fusion workload: `[C, H, W]` feature map.
-const FUSION_DIMS: [usize; 3] = [16, 128, 128];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Section {
     Gemm,
     Int8,
-    Fusion,
 }
 
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -92,7 +78,6 @@ fn main() -> ExitCode {
             "--only" => match args.next().as_deref() {
                 Some("gemm") => only = Some(Section::Gemm),
                 Some("int8") => only = Some(Section::Int8),
-                Some("fusion") => only = Some(Section::Fusion),
                 _ => return usage(),
             },
             _ => return usage(),
@@ -197,71 +182,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Guard 4: fused elementwise chain vs LMMIR_EAGER per-op path. ---
-    if run(Section::Fusion) {
-        let elems: usize = FUSION_DIMS.iter().product();
-        let mut rng = StdRng::seed_from_u64(7);
-        let feat: Vec<f32> = (0..elems).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let x = Tensor::from_vec(feat, &FUSION_DIMS).expect("fusion input");
-        let gain = Tensor::full(&FUSION_DIMS, 1.07);
-        let bias = Tensor::full(&FUSION_DIMS, -0.02);
-        let gain2 = Tensor::full(&FUSION_DIMS, 0.93);
-        let bias2 = Tensor::full(&FUSION_DIMS, 0.01);
-        // Two scale+bias+relu stages plus the residual max head
-        // `x + relu(t - x)` — the elementwise spine of a conv block, with
-        // the gemm itself (a realization boundary) factored out.
-        let conv_block_chain = || {
-            let t = x.mul(&gain).unwrap().add(&bias).unwrap().relu();
-            let t = t.mul(&gain2).unwrap().add(&bias2).unwrap().relu();
-            x.add(&t.sub(&x).unwrap().relu()).unwrap()
-        };
-        let ops = 9usize; // mul,add,relu ×2 + sub,relu,add
-        let fused_ref = conv_block_chain();
-        let eager_ref = lazy::with_eager(conv_block_chain);
-        let parity = fused_ref
-            .data()
-            .iter()
-            .zip(eager_ref.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !parity {
-            eprintln!("[kernels-guard] FAIL: fused chain is not bitwise identical to eager");
-            return ExitCode::FAILURE;
-        }
-        drop(fused_ref);
-        drop(eager_ref);
-        let fused_ms = 1e3
-            * median_secs(reps, || {
-                let t = conv_block_chain();
-                t.force();
-                black_box(&t);
-            });
-        let eager_ms = 1e3
-            * median_secs(reps, || {
-                lazy::with_eager(|| {
-                    black_box(conv_block_chain());
-                });
-            });
-        eprintln!(
-            "[kernels-guard] fusion {FUSION_DIMS:?} ({ops} ops): eager {eager_ms:.3} ms, \
-             fused {fused_ms:.3} ms ({:.2}x, target {FUSION_TARGET}x)",
-            eager_ms / fused_ms
-        );
-        fields.push(format!("\"fusion_elems\": {elems}"));
-        fields.push(format!("\"fusion_ops\": {ops}"));
-        fields.push(format!("\"fusion_eager_ms\": {eager_ms:.4}"));
-        fields.push(format!("\"fusion_fused_ms\": {fused_ms:.4}"));
-        fields.push(format!("\"fusion_speedup\": {:.4}", eager_ms / fused_ms));
-        fields.push(format!("\"fusion_target\": {FUSION_TARGET}"));
-        if eager_ms < fused_ms * FUSION_TARGET / NOISE {
-            eprintln!(
-                "[kernels-guard] FAIL: fused chain only {:.2}x faster than eager \
-                 (target {FUSION_TARGET}x)",
-                eager_ms / fused_ms
-            );
-            failed = true;
-        }
-    }
-
     if let Some(path) = &json {
         let record = format!("{{\n  {}\n}}\n", fields.join(",\n  "));
         if let Err(e) = std::fs::write(path, record) {
@@ -280,6 +200,6 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: kernels-guard [--json PATH] [--reps N] [--only gemm|int8|fusion]");
+    eprintln!("usage: kernels-guard [--json PATH] [--reps N] [--only gemm|int8]");
     ExitCode::from(2)
 }

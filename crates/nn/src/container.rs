@@ -64,11 +64,6 @@ impl Module for Sequential {
         for layer in &self.layers {
             cur = layer.forward(&cur)?;
         }
-        // Module boundary: elementwise chains fuse freely *across* the
-        // stacked layers, but the stack's output is realized here so
-        // callers observe finished work (bounded pending-graph depth,
-        // honest per-module timings).
-        cur.value().force();
         Ok(cur)
     }
 

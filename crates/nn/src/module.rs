@@ -79,13 +79,7 @@ pub fn state_dict(module: &dyn Module) -> Vec<(String, lmmir_tensor::Tensor)> {
         .parameters()
         .iter()
         .enumerate()
-        // Checkpoint boundary: snapshots are realized so they stay valid
-        // buffers regardless of what happens to the live graph afterwards.
-        .map(|(i, p)| {
-            let t = p.to_tensor();
-            t.force();
-            (format!("param.{i}"), t)
-        })
+        .map(|(i, p)| (format!("param.{i}"), p.to_tensor()))
         .collect()
 }
 

@@ -9,9 +9,12 @@
 //! serve route --workers N --ckpt NAME=PATH [--worker-addr HOST:PORT ...]
 //!       [--health-interval-ms N] [--fail-threshold K] [--forwarders N]
 //!       [--no-respawn] [--addr A]
-//! serve demo-ckpt PATH [--arch IREDGe] [--size 16] [--epochs 2] [--cases 2] [--seed 7]
-//!       [--windows 4]   (--arch DynIR: per-window dynamic IR model)
+//! serve demo-ckpt PATH [--arch NAME] [--size 16] [--widths 12,24,48] [--windows 4]
+//!       [--epochs 2] [--cases 2] [--seed 7]
 //! ```
+//!
+//! `--arch` takes any canonical architecture name (`ArchSpec::known_names`;
+//! default `IREDGe`); `--windows` configures `DynIR`, `--widths` `LMM-IR`.
 //!
 //! Environment fallbacks: `LMMIR_SERVE_ADDR`, `LMMIR_MAX_BATCH`,
 //! `LMMIR_MAX_WAIT_MS`, `LMMIR_CACHE_CAP`, `LMMIR_RESULT_CACHE_CAP`,
@@ -31,6 +34,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn usage() -> ExitCode {
+    let arches = lmm_ir::ArchSpec::known_names();
     eprintln!(
         "usage:\n  serve [--addr A] --ckpt NAME=PATH [--ckpt ...] [--default NAME] \
          [--max-batch N] [--max-wait-ms N] [--cache N] [--result-cache N] \
@@ -41,8 +45,9 @@ fn usage() -> ExitCode {
          [--worker-addr HOST:PORT ...] [--addr A] [--health-interval-ms N] \
          [--fail-threshold K] [--forwarders N] [--probe-timeout-ms N] \
          [--respawn-backoff-ms N] [--no-respawn] + worker flags to pass through\n  \
-         serve demo-ckpt PATH [--arch IREDGe|IRPnet|LMM-IR|DynIR|'1st Place'|'2nd Place'] \
-         [--size 16] [--widths 12,24,48] [--windows 4] [--epochs 2] [--cases 2] [--seed 7]"
+         serve demo-ckpt PATH [--arch NAME] [--size 16] [--widths 12,24,48] [--windows 4] \
+         [--epochs 2] [--cases 2] [--seed 7]\n    \
+         --arch NAME: one of {arches} (default IREDGe)"
     );
     ExitCode::from(2)
 }

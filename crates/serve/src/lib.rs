@@ -13,7 +13,7 @@
 //!
 //! ```text
 //!  clients ──> acceptor thread ──> event-loop threads (fixed pool:
-//!                 (round-robin)    non-blocking sockets, resumable HTTP
+//!               (least-loaded)     non-blocking sockets, resumable HTTP
 //!                                  parse, per-state deadlines,
 //!                                  result-cache lookup)
 //!                                        │ mpsc jobs (result-cache misses;

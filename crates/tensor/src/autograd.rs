@@ -9,22 +9,37 @@
 //! The graph is a DAG of `Rc` nodes built per forward pass and freed when the
 //! loss variable is dropped, mirroring PyTorch's define-by-run semantics.
 //!
-//! Values are lazy [`Tensor`]s (see [`crate::lazy`]): elementwise forward
-//! chains record fused programs instead of materializing per-op buffers, and
-//! the backward closures in [`crate::ops`] build their gradients from the
-//! same lazy ops, so backward chains (relu masks, sigmoid/tanh derivative
-//! products, accumulated `add_assign` sums) fuse too. Results are bitwise
-//! identical to the historical eager evaluation; reductions, matmul, conv,
-//! and the optimizer's reads realize buffers at the usual boundaries.
+//! Inference needs no tape: inside [`no_grad`], [`Var::from_op`] keeps no
+//! parents and no backward closure, so each intermediate is freed as soon
+//! as its consumers are done with it. Values are identical either way.
 
 use crate::tensor::Tensor;
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static GRAD_ENABLED: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Runs `f` with the tape off on this thread: every op result is a
+/// constant (no parents, no backward closure, `needs_grad() == false`).
+/// Restores the previous state on exit, also on panic.
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GRAD_ENABLED.with(|g| g.set(self.0));
+        }
+    }
+    let prev = GRAD_ENABLED.with(|g| g.replace(false));
+    let _restore = Restore(prev);
+    f()
+}
 
 /// Closure mapping the gradient at a node to gradients for each parent
 /// (aligned with the `parents` vector; `None` skips a parent).
@@ -93,10 +108,11 @@ impl Var {
     /// Builds an interior graph node from an op result.
     ///
     /// `backward` receives the gradient flowing into this node and must
-    /// return one optional gradient per entry of `parents`.
+    /// return one optional gradient per entry of `parents`. Inside
+    /// [`no_grad`] both are dropped immediately.
     #[must_use]
     pub fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Self {
-        let needs_grad = parents.iter().any(Var::needs_grad);
+        let needs_grad = GRAD_ENABLED.with(Cell::get) && parents.iter().any(Var::needs_grad);
         Var(Rc::new(Node {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             value: RefCell::new(value),
@@ -138,7 +154,7 @@ impl Var {
     }
 
     /// Copy of the current value (cheap: the buffer is shared
-    /// copy-on-write and any pending fused chain stays pending).
+    /// copy-on-write).
     #[must_use]
     pub fn to_tensor(&self) -> Tensor {
         self.0.value.borrow().clone()

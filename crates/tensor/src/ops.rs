@@ -137,7 +137,6 @@ impl Var {
             out,
             vec![self.clone()],
             Box::new(move |g| {
-                // Lazy mask: fuses with the multiply into one backward loop.
                 let mask = x.value().relu_mask();
                 vec![Some(g.mul(&mask).expect("same shape"))]
             }),
@@ -153,7 +152,7 @@ impl Var {
             y,
             vec![self.clone()],
             Box::new(move |g| {
-                // s * (1 - s), recorded lazily so it fuses with g's chain.
+                // s * (1 - s)
                 let one_minus = Tensor::scalar(1.0).sub(&saved).expect("same shape");
                 let dy = saved.mul(&one_minus).expect("same shape");
                 vec![Some(g.mul(&dy).expect("same shape"))]
@@ -211,8 +210,7 @@ impl Var {
             y,
             vec![self.clone()],
             Box::new(move |g| {
-                // 0.5 / max(s, 1e-12) — same guard as the historical eager
-                // closure, recorded as two fusable scalar-operand ops.
+                // 0.5 / max(s, 1e-12)
                 let guarded = saved.maximum(&Tensor::scalar(1e-12)).expect("same shape");
                 let dy = Tensor::scalar(0.5).div(&guarded).expect("same shape");
                 vec![Some(g.mul(&dy).expect("same shape"))]

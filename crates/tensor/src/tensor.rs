@@ -1,13 +1,10 @@
 //! The dense, contiguous, row-major `f32` tensor and its raw kernels.
 //!
-//! Elementwise ops are **lazy**: they record nodes into the op graph of
-//! [`crate::lazy`] and fuse into single loops when the buffer is first
-//! needed. Everything else (reductions, shape ops, the linalg/conv kernels)
-//! realizes its inputs and computes eagerly, exactly as before the lazy
-//! runtime existed — results are bitwise identical either way.
+//! Every op here computes immediately with a plain sequential loop over
+//! the flat buffer; the buffer is shared copy-on-write, so `clone` and
+//! `reshape` are O(1).
 
 use crate::error::TensorError;
-use crate::lazy::{self, BinOp, LazyNode, UnaryOp};
 use crate::shape::{broadcast_shapes, check_axis, numel, strides, BroadcastIter};
 use crate::Result;
 use std::fmt;
@@ -29,36 +26,19 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     dims: Vec<usize>,
-    node: Arc<LazyNode>,
-}
-
-impl PartialEq for Tensor {
-    fn eq(&self, other: &Self) -> bool {
-        self.dims == other.dims && self.data() == other.data()
-    }
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
-    /// Internal: realized tensor over an exact-length buffer.
-    fn leaf(dims: Vec<usize>, data: Vec<f32>) -> Self {
+    /// Internal: tensor over an exact-length buffer.
+    fn from_parts(dims: Vec<usize>, data: Vec<f32>) -> Self {
         debug_assert_eq!(data.len(), numel(&dims));
         Tensor {
             dims,
-            node: LazyNode::leaf(data),
-        }
-    }
-
-    /// Internal: lazy (or eager-bypass) elementwise unary over `self`.
-    fn lazy_unary(&self, op: UnaryOp) -> Self {
-        if lazy::eager_mode() {
-            return Tensor::leaf(self.dims.clone(), lazy::unary_eager(op, self.data()));
-        }
-        Tensor {
-            dims: self.dims.clone(),
-            node: LazyNode::unary(op, self.node.clone()),
+            data: Arc::new(data),
         }
     }
 
@@ -76,13 +56,13 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor::leaf(dims.to_vec(), data))
+        Ok(Tensor::from_parts(dims.to_vec(), data))
     }
 
     /// All-zeros tensor of the given shape.
     #[must_use]
     pub fn zeros(dims: &[usize]) -> Self {
-        Tensor::leaf(dims.to_vec(), vec![0.0; numel(dims)])
+        Tensor::from_parts(dims.to_vec(), vec![0.0; numel(dims)])
     }
 
     /// All-ones tensor of the given shape.
@@ -94,13 +74,13 @@ impl Tensor {
     /// Tensor filled with a constant.
     #[must_use]
     pub fn full(dims: &[usize], value: f32) -> Self {
-        Tensor::leaf(dims.to_vec(), vec![value; numel(dims)])
+        Tensor::from_parts(dims.to_vec(), vec![value; numel(dims)])
     }
 
     /// Rank-0 scalar tensor.
     #[must_use]
     pub fn scalar(value: f32) -> Self {
-        Tensor::leaf(Vec::new(), vec![value])
+        Tensor::from_parts(Vec::new(), vec![value])
     }
 
     /// `n × n` identity matrix.
@@ -110,13 +90,13 @@ impl Tensor {
         for i in 0..n {
             data[i * n + i] = 1.0;
         }
-        Tensor::leaf(vec![n, n], data)
+        Tensor::from_parts(vec![n, n], data)
     }
 
     /// Evenly spaced values `[0, 1, ..., n-1]` as a rank-1 tensor.
     #[must_use]
     pub fn arange(n: usize) -> Self {
-        Tensor::leaf(vec![n], (0..n).map(|i| i as f32).collect())
+        Tensor::from_parts(vec![n], (0..n).map(|i| i as f32).collect())
     }
 
     /// Shape of the tensor.
@@ -131,51 +111,29 @@ impl Tensor {
         self.dims.len()
     }
 
-    /// Total number of elements. Does not force realization.
+    /// Total number of elements.
     #[must_use]
     pub fn numel(&self) -> usize {
-        self.node.numel()
+        self.data.len()
     }
 
-    /// Forces any pending fused chain to compute (idempotent), then returns
-    /// `self`. Useful at module/serving boundaries where timing or memory
-    /// footprint should reflect finished work; plain reads via
-    /// [`Tensor::data`] realize on their own.
-    pub fn force(&self) -> &Self {
-        lazy::realize(&self.node);
-        self
-    }
-
-    /// True when the buffer has been computed (i.e. no fused chain is
-    /// pending on this tensor).
-    #[must_use]
-    pub fn is_realized(&self) -> bool {
-        self.node.is_realized()
-    }
-
-    /// Read-only view of the flat buffer (realizes any pending chain).
+    /// Read-only view of the flat buffer.
     #[must_use]
     pub fn data(&self) -> &[f32] {
-        lazy::realize(&self.node)
+        &self.data
     }
 
-    /// Mutable view of the flat buffer. Realizes first; unshares the buffer
-    /// (copy-on-write) when clones exist.
+    /// Mutable view of the flat buffer. Unshares the buffer (copy-on-write)
+    /// when clones exist.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        lazy::realize(&self.node);
-        let n = Arc::make_mut(&mut self.node);
-        n.clear_expr();
-        n.buf_mut().as_mut_slice()
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor and returns its flat buffer.
+    /// Consumes the tensor and returns its flat buffer (copied only when
+    /// clones still share it).
     #[must_use]
     pub fn into_vec(self) -> Vec<f32> {
-        lazy::realize(&self.node);
-        match Arc::try_unwrap(self.node) {
-            Ok(mut n) => n.take_buf(),
-            Err(shared) => shared.buf_ref().clone(),
-        }
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
     }
 
     /// Value at a multi-dimensional index.
@@ -236,15 +194,10 @@ impl Tensor {
     // Unary ops
     // ---------------------------------------------------------------------
 
-    /// Applies `f` elementwise, producing a new tensor. Arbitrary closures
-    /// cannot be recorded into the fused graph, so this realizes and
-    /// computes eagerly — prefer the named ops where fusion matters.
+    /// Applies `f` elementwise, producing a new tensor.
     #[must_use]
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Tensor::leaf(
-            self.dims.clone(),
-            self.data().iter().map(|&x| f(x)).collect(),
-        )
+        Tensor::from_parts(self.dims.clone(), self.data.iter().map(|&x| f(x)).collect())
     }
 
     /// Applies `f` elementwise in place.
@@ -257,114 +210,113 @@ impl Tensor {
     /// Elementwise negation.
     #[must_use]
     pub fn neg(&self) -> Self {
-        self.lazy_unary(UnaryOp::Neg)
+        self.map(|x| -x)
     }
 
     /// Elementwise `max(x, 0)`.
     #[must_use]
     pub fn relu(&self) -> Self {
-        self.lazy_unary(UnaryOp::Relu)
+        self.map(|x| x.max(0.0))
     }
 
     /// Elementwise `x > 0 ? 1 : 0` — the relu backward mask.
     #[must_use]
     pub fn relu_mask(&self) -> Self {
-        self.lazy_unary(UnaryOp::GtzMask)
+        self.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// Elementwise logistic sigmoid `1 / (1 + e^-x)`.
     #[must_use]
     pub fn sigmoid(&self) -> Self {
-        self.lazy_unary(UnaryOp::Sigmoid)
+        self.map(|x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Elementwise hyperbolic tangent.
     #[must_use]
     pub fn tanh(&self) -> Self {
-        self.lazy_unary(UnaryOp::Tanh)
+        self.map(f32::tanh)
     }
 
     /// Elementwise `e^x`.
     #[must_use]
     pub fn exp(&self) -> Self {
-        self.lazy_unary(UnaryOp::Exp)
+        self.map(f32::exp)
     }
 
     /// Elementwise natural logarithm.
     #[must_use]
     pub fn ln(&self) -> Self {
-        self.lazy_unary(UnaryOp::Ln)
+        self.map(f32::ln)
     }
 
     /// Elementwise square root.
     #[must_use]
     pub fn sqrt(&self) -> Self {
-        self.lazy_unary(UnaryOp::Sqrt)
+        self.map(f32::sqrt)
     }
 
     /// Elementwise `x * x`.
     #[must_use]
     pub fn square(&self) -> Self {
-        self.lazy_unary(UnaryOp::Square)
+        self.map(|x| x * x)
     }
 
     /// Elementwise scaling by a constant.
     #[must_use]
     pub fn scale(&self, k: f32) -> Self {
-        self.lazy_unary(UnaryOp::ScalarRhs(BinOp::Mul, k))
+        self.map(|x| x * k)
     }
 
     /// Elementwise addition of a constant.
     #[must_use]
     pub fn add_scalar(&self, k: f32) -> Self {
-        self.lazy_unary(UnaryOp::ScalarRhs(BinOp::Add, k))
+        self.map(|x| x + k)
     }
 
     /// Clamps every element into `[lo, hi]`.
     #[must_use]
     pub fn clamp(&self, lo: f32, hi: f32) -> Self {
-        self.lazy_unary(UnaryOp::Clamp(lo, hi))
+        self.map(|x| x.clamp(lo, hi))
     }
 
     // ---------------------------------------------------------------------
     // Binary broadcast ops
     // ---------------------------------------------------------------------
 
-    fn binary(&self, rhs: &Tensor, name: &'static str, op: BinOp) -> Result<Self> {
+    fn binary(
+        &self,
+        rhs: &Tensor,
+        name: &'static str,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<Self> {
         if self.dims == rhs.dims {
-            // Fast path: identical shapes — records a fused graph node.
-            if lazy::eager_mode() {
-                return Ok(Tensor::leaf(
-                    self.dims.clone(),
-                    lazy::binary_eager(op, self.data(), rhs.data()),
-                ));
-            }
-            return Ok(Tensor {
-                dims: self.dims.clone(),
-                node: LazyNode::binary(op, self.node.clone(), rhs.node.clone()),
-            });
+            // Fast path: identical shapes.
+            let data = self
+                .data
+                .iter()
+                .zip(rhs.data.iter())
+                .map(|(&a, &b)| f(a, b))
+                .collect();
+            return Ok(Tensor::from_parts(self.dims.clone(), data));
         }
         if rhs.numel() == 1 {
-            // Fast path: rhs scalar folds into a unary (keeps self's shape).
-            let b = rhs.data()[0];
-            return Ok(self.lazy_unary(UnaryOp::ScalarRhs(op, b)));
+            // Fast path: rhs scalar (keeps self's shape).
+            let b = rhs.data[0];
+            return Ok(self.map(|a| f(a, b)));
         }
         if self.numel() == 1 {
-            let a = self.data()[0];
-            let mut out = rhs.lazy_unary(UnaryOp::ScalarLhs(op, a));
+            let a = self.data[0];
+            let mut out = rhs.map(|b| f(a, b));
             // Result shape follows broadcasting (scalar lhs adopts rhs shape).
             out.dims = broadcast_shapes(&self.dims, &rhs.dims, name)?;
             return Ok(out);
         }
-        // General broadcast: a gather pattern the fused elementwise programs
-        // do not express — realize and fall back to the eager kernel.
         let out_dims = broadcast_shapes(&self.dims, &rhs.dims, name)?;
-        let (a, b) = (self.data(), rhs.data());
         let mut data = Vec::with_capacity(numel(&out_dims));
         for (ai, bi) in BroadcastIter::new(&out_dims, &self.dims, &rhs.dims) {
-            data.push(op.apply(a[ai], b[bi]));
+            data.push(f(self.data[ai], rhs.data[bi]));
         }
-        Ok(Tensor::leaf(out_dims, data))
+        Ok(Tensor::from_parts(out_dims, data))
     }
 
     /// Broadcast elementwise addition.
@@ -374,7 +326,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] when shapes are not
     /// broadcast-compatible.
     pub fn add(&self, rhs: &Tensor) -> Result<Self> {
-        self.binary(rhs, "add", BinOp::Add)
+        self.binary(rhs, "add", |a, b| a + b)
     }
 
     /// Broadcast elementwise subtraction.
@@ -383,7 +335,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on incompatible shapes.
     pub fn sub(&self, rhs: &Tensor) -> Result<Self> {
-        self.binary(rhs, "sub", BinOp::Sub)
+        self.binary(rhs, "sub", |a, b| a - b)
     }
 
     /// Broadcast elementwise multiplication.
@@ -392,7 +344,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on incompatible shapes.
     pub fn mul(&self, rhs: &Tensor) -> Result<Self> {
-        self.binary(rhs, "mul", BinOp::Mul)
+        self.binary(rhs, "mul", |a, b| a * b)
     }
 
     /// Broadcast elementwise division.
@@ -401,7 +353,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on incompatible shapes.
     pub fn div(&self, rhs: &Tensor) -> Result<Self> {
-        self.binary(rhs, "div", BinOp::Div)
+        self.binary(rhs, "div", |a, b| a / b)
     }
 
     /// Broadcast elementwise maximum.
@@ -410,13 +362,10 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on incompatible shapes.
     pub fn maximum(&self, rhs: &Tensor) -> Result<Self> {
-        self.binary(rhs, "maximum", BinOp::Max)
+        self.binary(rhs, "maximum", f32::max)
     }
 
     /// Accumulates `rhs` into `self` (shapes must match exactly).
-    ///
-    /// Lazily rebinds `self` to `self + rhs`, so gradient-accumulation
-    /// chains fuse; the sum is computed when the buffer is next read.
     ///
     /// # Errors
     ///
@@ -429,14 +378,9 @@ impl Tensor {
                 op: "add_assign",
             });
         }
-        if lazy::eager_mode() {
-            let src = rhs.data();
-            for (a, &b) in self.data_mut().iter_mut().zip(src) {
-                *a += b;
-            }
-            return Ok(());
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data.iter()) {
+            *a += b;
         }
-        self.node = LazyNode::binary(BinOp::Add, self.node.clone(), rhs.node.clone());
         Ok(())
     }
 
@@ -520,7 +464,7 @@ impl Tensor {
                 .map(|(_, &d)| d)
                 .collect()
         };
-        Ok(Tensor::leaf(out_dims, out))
+        Ok(Tensor::from_parts(out_dims, out))
     }
 
     /// Mean along `axes`; see [`Tensor::sum_axes`].
@@ -584,8 +528,7 @@ impl Tensor {
     // ---------------------------------------------------------------------
 
     /// Returns a tensor with the same data and a new shape. O(1): the buffer
-    /// (or pending fused chain) is shared copy-on-write, so fusion flows
-    /// through reshapes.
+    /// is shared copy-on-write.
     ///
     /// # Errors
     ///
@@ -600,7 +543,7 @@ impl Tensor {
         }
         Ok(Tensor {
             dims: dims.to_vec(),
-            node: self.node.clone(),
+            data: self.data.clone(),
         })
     }
 
@@ -648,7 +591,7 @@ impl Tensor {
                 idx[ax] = 0;
             }
         }
-        Ok(Tensor::leaf(out_dims, out))
+        Ok(Tensor::from_parts(out_dims, out))
     }
 
     /// 2-D transpose. Optimized special case of [`Tensor::permute`].
@@ -671,7 +614,7 @@ impl Tensor {
                 out[j * m + i] = src[i * n + j];
             }
         }
-        Ok(Tensor::leaf(vec![n, m], out))
+        Ok(Tensor::from_parts(vec![n, m], out))
     }
 
     /// Slices `[start, end)` along `axis`.
@@ -698,7 +641,7 @@ impl Tensor {
             let base = o * self.dims[axis] * inner;
             data.extend_from_slice(&src[base + start * inner..base + end * inner]);
         }
-        Ok(Tensor::leaf(out_dims, data))
+        Ok(Tensor::from_parts(out_dims, data))
     }
 
     /// Concatenates tensors along `axis`. All other dims must match.
@@ -743,7 +686,7 @@ impl Tensor {
                 data.extend_from_slice(&p.data()[base..base + len]);
             }
         }
-        Ok(Tensor::leaf(out_dims, data))
+        Ok(Tensor::from_parts(out_dims, data))
     }
 
     /// Gathers rows of a rank-2 tensor: `out[i, :] = self[indices[i], :]`.
@@ -802,7 +745,7 @@ impl Tensor {
                 out[ix * cols + c] += src[i * cols + c];
             }
         }
-        Ok(Tensor::leaf(vec![num_rows, cols], out))
+        Ok(Tensor::from_parts(vec![num_rows, cols], out))
     }
 
     /// Zero-pads the last two axes of an NCHW (or CHW / HW) tensor.
@@ -838,7 +781,7 @@ impl Tensor {
                 out[dst..dst + w].copy_from_slice(&src[s..s + w]);
             }
         }
-        Ok(Tensor::leaf(out_dims, out))
+        Ok(Tensor::from_parts(out_dims, out))
     }
 
     /// Crops the last two axes (adjoint of [`Tensor::pad_spatial`]).
@@ -875,7 +818,7 @@ impl Tensor {
                 out[dst..dst + w].copy_from_slice(&src[s..s + w]);
             }
         }
-        Ok(Tensor::leaf(out_dims, out))
+        Ok(Tensor::from_parts(out_dims, out))
     }
 
     /// Numerically stable softmax along the last axis.
@@ -898,7 +841,7 @@ impl Tensor {
                 *v *= inv;
             }
         }
-        Tensor::leaf(self.dims.clone(), data)
+        Tensor::from_parts(self.dims.clone(), data)
     }
 
     /// Frobenius norm (`sqrt(sum(x^2))`).

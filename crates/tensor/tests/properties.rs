@@ -1,6 +1,6 @@
-//! Property tests: broadcasting algebra, autograd-vs-numeric gradients, and
-//! parallel-kernel-vs-naive-reference agreement on randomized shapes and
-//! values (including degenerate ones).
+//! Property tests: broadcasting algebra (NaN/±Inf operands included),
+//! autograd-vs-numeric gradients, and parallel-kernel-vs-naive-reference
+//! agreement on randomized shapes and values (including degenerate ones).
 
 use lmmir_tensor::conv::{conv2d, ConvSpec};
 use lmmir_tensor::{linalg, Tensor, Var};
@@ -85,6 +85,29 @@ fn large_conv2d_crosses_parallel_threshold_and_matches() {
     }
 }
 
+/// Operand values spanning the awkward cases: signed zeros, infinities,
+/// NaN. Elementwise ops must apply the plain IEEE formula to them — no
+/// "trivial" multiply may be skipped, so `0 · inf` stays NaN.
+fn awkward_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        10 => -3.0f32..3.0,
+        1 => Just(0.0f32),
+        1 => Just(-0.0f32),
+        1 => Just(f32::INFINITY),
+        1 => Just(f32::NEG_INFINITY),
+        1 => Just(f32::NAN),
+    ]
+}
+
+/// Bitwise equality, except that any two NaNs match (IEEE leaves the NaN
+/// payload of a two-NaN operation to the hardware).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
 fn tensor_strategy(max_len: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-3.0f32..3.0, 1..=max_len).prop_map(|v| {
         let n = v.len();
@@ -119,8 +142,8 @@ proptest! {
     #[test]
     fn add_commutes(
         (a, b) in (1usize..32).prop_flat_map(|n| (
-            prop::collection::vec(-3.0f32..3.0, n),
-            prop::collection::vec(-3.0f32..3.0, n),
+            prop::collection::vec(awkward_f32(), n),
+            prop::collection::vec(awkward_f32(), n),
         )),
     ) {
         let n = a.len();
@@ -128,7 +151,9 @@ proptest! {
         let b = Tensor::from_vec(b, &[n]).unwrap();
         let ab = a.add(&b).unwrap();
         let ba = b.add(&a).unwrap();
-        prop_assert_eq!(ab.data(), ba.data());
+        prop_assert!(same_bits(ab.data(), ba.data()));
+        let scalar: Vec<f32> = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
+        prop_assert!(same_bits(ab.data(), &scalar));
     }
 
     #[test]
@@ -149,11 +174,29 @@ proptest! {
     }
 
     #[test]
-    fn scalar_broadcast_matches_scale(a in tensor_strategy(32), k in -2.0f32..2.0) {
+    fn scalar_broadcast_matches_scale(
+        a in prop::collection::vec(awkward_f32(), 1..32),
+        k in awkward_f32(),
+    ) {
+        let n = a.len();
+        let a = Tensor::from_vec(a, &[n]).unwrap();
         let s = Tensor::scalar(k);
         let via_broadcast = a.mul(&s).unwrap();
         let via_scale = a.scale(k);
-        prop_assert_eq!(via_broadcast.data(), via_scale.data());
+        let via_full = a.mul(&Tensor::full(&[n], k)).unwrap();
+        prop_assert!(same_bits(via_broadcast.data(), via_scale.data()));
+        prop_assert!(same_bits(via_full.data(), via_scale.data()));
+        for (&x, &y) in a.data().iter().zip(via_scale.data()) {
+            if (x == 0.0 && k.is_infinite()) || (x.is_infinite() && k == 0.0) {
+                prop_assert!(y.is_nan(), "0 * inf must be NaN, got {}", y);
+            }
+        }
+        // Downstream ops see the NaN too; relu maps it to 0, not to NaN.
+        let shifted = via_scale.add_scalar(1.0);
+        let relu = shifted.relu();
+        for (&x, &r) in shifted.data().iter().zip(relu.data()) {
+            prop_assert_eq!(r.to_bits(), x.max(0.0).to_bits());
+        }
     }
 
     #[test]
